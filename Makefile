@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check bench fuzz snapshot smoke perf
+.PHONY: build test vet fmt race check bench fuzz snapshot smoke perf
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any Go file is not gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # race exercises the concurrency-bearing packages — the parallel Fit
 # collection pass, the ScoreBatch worker pool, Monitor.CheckBatch, the
@@ -57,9 +61,9 @@ smoke:
 perf:
 	./scripts/perf_smoke.sh $(WORKERS)
 
-# check is the CI gate: full build + tests, vet, the race pass, the
-# end-to-end smoke runs, and the perf allocation gate.
-check: build test vet race smoke perf
+# check is the CI gate: full build + tests, vet, gofmt, the race pass,
+# the end-to-end smoke runs, and the perf allocation gate.
+check: build test vet fmt race smoke perf
 
 bench:
 	$(GO) test -bench 'BenchmarkFit|BenchmarkScoreBatch' -benchmem -run '^$$' .

@@ -543,55 +543,6 @@ func TestMonitorSetEpsilon(t *testing.T) {
 	}
 }
 
-func TestTuneNu(t *testing.T) {
-	net, xs, ys := trainedToyModel(t)
-	rng := rand.New(rand.NewSource(61))
-	valX, _ := toyProblem(rng, 40)
-	base := Config{MaxPerClass: 40, MaxFeatures: 64, Workers: 2}
-	cands, best, err := TuneNu(net, xs, ys, valX, 0.15, base, []float64{0.05, 0.1, 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands) != 3 {
-		t.Fatalf("candidates = %d", len(cands))
-	}
-	found := false
-	for _, c := range cands {
-		if c.CleanFlagRate < 0 || c.CleanFlagRate > 1 {
-			t.Fatalf("flag rate %v out of range", c.CleanFlagRate)
-		}
-		if c.Nu == best {
-			found = true
-			if c.CleanFlagRate > 0.15 {
-				// best may be the fallback; only check when some
-				// candidate met the budget.
-				for _, o := range cands {
-					if o.CleanFlagRate <= 0.15 {
-						t.Fatalf("selected ν=%v violates budget though %v met it", best, o.Nu)
-					}
-				}
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("selected ν=%v not among candidates", best)
-	}
-}
-
-func TestTuneNuValidation(t *testing.T) {
-	net, xs, ys := trainedToyModel(t)
-	base := Config{MaxPerClass: 40, MaxFeatures: 64}
-	if _, _, err := TuneNu(net, xs, ys, nil, 0.1, base, []float64{0.1}); err == nil {
-		t.Error("empty validation set accepted")
-	}
-	if _, _, err := TuneNu(net, xs, ys, xs[:5], 0.1, base, nil); err == nil {
-		t.Error("empty candidates accepted")
-	}
-	if _, _, err := TuneNu(net, xs, ys, xs[:5], 0.1, base, []float64{2}); err == nil {
-		t.Error("ν > 1 accepted")
-	}
-}
-
 func TestScoreBatchMatchesSequentialScore(t *testing.T) {
 	net, xs, ys := trainedToyModel(t)
 	v := fitToyValidator(t, net, xs, ys)

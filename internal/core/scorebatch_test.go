@@ -3,14 +3,16 @@ package core
 import (
 	"math"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"testing"
+
+	"deepvalidation/internal/nn"
+	"deepvalidation/internal/tensor"
 )
 
 // Allocation-budget and scratch-aliasing guards for the batched scoring
-// hot path, plus the artifact-compatibility battery for the SVNorms
-// field introduced with the norms-expansion decision path.
+// hot path, plus the artifact-compatibility check for validators that
+// carry the retired support-vector norms field.
 
 // TestScoreSteadyStateAllocBudget pins the per-sample allocation budget
 // of a warmed-up Score. The Result itself owns one fresh Layer slice
@@ -121,95 +123,27 @@ func resultBitsEqual(a, b Result) bool {
 	return true
 }
 
-// TestSVNormsSurviveSaveLoad: a freshly fitted validator carries
-// trained-in support-vector norms, and they round-trip through the
-// .dvart container bit-for-bit.
-func TestSVNormsSurviveSaveLoad(t *testing.T) {
-	net, xs, ys := trainedToyModel(t)
-	v := fitToyValidator(t, net, xs, ys)
-	for p, row := range v.SVMs {
-		for c, m := range row {
-			if len(m.SVNorms) != len(m.Support) {
-				t.Fatalf("fitted SVM [%d][%d] has %d norms for %d SVs", p, c, len(m.SVNorms), len(m.Support))
-			}
-		}
-	}
-	path := filepath.Join(t.TempDir(), "v.dvart")
-	if err := v.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadValidator(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, row := range v.SVMs {
-		for c, m := range row {
-			lm := loaded.SVMs[p][c]
-			if len(lm.SVNorms) != len(m.SVNorms) {
-				t.Fatalf("SVM [%d][%d]: %d norms after round-trip, want %d", p, c, len(lm.SVNorms), len(m.SVNorms))
-			}
-			for i := range m.SVNorms {
-				if math.Float64bits(lm.SVNorms[i]) != math.Float64bits(m.SVNorms[i]) {
-					t.Fatalf("SVM [%d][%d] norm %d moved across save/load", p, c, i)
-				}
-			}
-		}
-	}
-}
-
-// TestLegacyGoldenArtifactRecomputesNorms loads the committed
-// pre-SVNorms golden validator: the decode path must materialize the
-// norms eagerly, and they must equal a by-hand recomputation
-// bit-for-bit.
-func TestLegacyGoldenArtifactRecomputesNorms(t *testing.T) {
-	v, err := LoadValidator("../../artifacts/golden/validator.dvart")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, row := range v.SVMs {
-		for c, m := range row {
-			if len(m.SVNorms) != len(m.Support) {
-				t.Fatalf("legacy SVM [%d][%d]: decode left %d norms for %d SVs", p, c, len(m.SVNorms), len(m.Support))
-			}
-			for i, sv := range m.Support {
-				s := 0.0
-				for _, x := range sv {
-					s += x * x
-				}
-				if math.Float64bits(s) != math.Float64bits(m.SVNorms[i]) {
-					t.Fatalf("legacy SVM [%d][%d] norm %d: %x, recompute %x", p, c, i, math.Float64bits(m.SVNorms[i]), math.Float64bits(s))
-				}
-			}
-		}
-	}
-}
-
-// TestGoldenNormsArtifactAgreesWithLegacy pins the upgraded golden
-// (validator_norms.dvart, written by Save after a legacy load): its
-// persisted norms and its decisions must be bit-identical to the
-// legacy artifact's — upgrading an artifact must never move a verdict.
+// TestGoldenNormsArtifactAgreesWithLegacy pins artifact compatibility:
+// validator_norms.dvart still carries per-SVM support-vector norms, a
+// field the validator no longer has, and must load to decisions and
+// verdicts bit-identical to the plain validator.dvart.
 func TestGoldenNormsArtifactAgreesWithLegacy(t *testing.T) {
+	net, err := nn.Load("../../artifacts/golden/model.dvart")
+	if err != nil {
+		t.Fatal(err)
+	}
 	legacy, err := LoadValidator("../../artifacts/golden/validator.dvart")
 	if err != nil {
 		t.Fatal(err)
 	}
-	upgraded, err := LoadValidator("../../artifacts/golden/validator_norms.dvart")
+	withNorms, err := LoadValidator("../../artifacts/golden/validator_norms.dvart")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(77))
 	for p, row := range legacy.SVMs {
 		for c, lm := range row {
-			um := upgraded.SVMs[p][c]
-			if len(um.SVNorms) != len(lm.SVNorms) {
-				t.Fatalf("SVM [%d][%d]: norms count %d vs %d", p, c, len(um.SVNorms), len(lm.SVNorms))
-			}
-			for i := range lm.SVNorms {
-				if math.Float64bits(um.SVNorms[i]) != math.Float64bits(lm.SVNorms[i]) {
-					t.Fatalf("SVM [%d][%d] norm %d differs between artifacts", p, c, i)
-				}
-			}
-			// Verdicts on random probes of the right dimensionality.
+			// Decisions on random probes of the right dimensionality.
 			xs := make([][]float64, 4)
 			for i := range xs {
 				xs[i] = make([]float64, lm.Dim)
@@ -217,13 +151,22 @@ func TestGoldenNormsArtifactAgreesWithLegacy(t *testing.T) {
 					xs[i][j] = rng.NormFloat64()
 				}
 			}
-			lv := lm.DecisionBatch(xs)
-			uv := um.DecisionBatch(xs)
+			lv := lm.DecisionBatchInto(make([]float64, len(xs)), xs)
+			nv := withNorms.SVMs[p][c].DecisionBatchInto(make([]float64, len(xs)), xs)
 			for i := range lv {
-				if math.Float64bits(lv[i]) != math.Float64bits(uv[i]) {
-					t.Fatalf("SVM [%d][%d] probe %d: upgraded artifact moved the verdict", p, c, i)
+				if math.Float64bits(lv[i]) != math.Float64bits(nv[i]) {
+					t.Fatalf("SVM [%d][%d] probe %d: decision %x vs %x", p, c, i, math.Float64bits(lv[i]), math.Float64bits(nv[i]))
 				}
 			}
+		}
+	}
+	for i := 0; i < 8; i++ {
+		x := tensor.New(net.InShape...)
+		for j := range x.Data {
+			x.Data[j] = rng.Float64()
+		}
+		if a, b := legacy.Score(net, x), withNorms.Score(net, x); !resultBitsEqual(a, b) {
+			t.Fatalf("input %d: verdict %+v vs %+v", i, a, b)
 		}
 	}
 }

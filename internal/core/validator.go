@@ -684,11 +684,9 @@ func (v *Validator) Encode(w io.Writer) error {
 }
 
 // DecodeValidator reads a validator written by Encode and validates
-// its structural invariants. Support-vector norms are materialized
-// eagerly: legacy artifacts fitted before OneClass.SVNorms existed
-// decode with the field nil and recompute it here, so scoring never
-// pays the one-time cost mid-request and the next Save persists the
-// upgraded model.
+// its structural invariants. Artifacts that still carry the retired
+// per-SVM support-vector norms decode unchanged: gob skips stream
+// fields the struct no longer has.
 func DecodeValidator(r io.Reader) (*Validator, error) {
 	var v Validator
 	if err := gob.NewDecoder(r).Decode(&v); err != nil {
@@ -696,11 +694,6 @@ func DecodeValidator(r io.Reader) (*Validator, error) {
 	}
 	if err := v.Validate(); err != nil {
 		return nil, err
-	}
-	for _, row := range v.SVMs {
-		for _, m := range row {
-			m.EnsureNorms()
-		}
 	}
 	return &v, nil
 }
@@ -753,18 +746,6 @@ func (v *Validator) Validate() error {
 				}
 				if !finiteAll(sv) {
 					return fmt.Errorf("core: SVM(layer %d, class %d) of %q carries a non-finite support vector", v.LayerIdx[p], k, v.ModelName)
-				}
-			}
-			// Precomputed SV norms are optional (legacy artifacts carry
-			// none and recompute on demand), but when present they must
-			// be shaped and finite like any other coefficient.
-			if len(m.SVNorms) != 0 {
-				if len(m.SVNorms) != len(m.Support) {
-					return fmt.Errorf("core: SVM(layer %d, class %d) of %q carries %d SV norms for %d support vectors",
-						v.LayerIdx[p], k, v.ModelName, len(m.SVNorms), len(m.Support))
-				}
-				if !finiteAll(m.SVNorms) {
-					return fmt.Errorf("core: SVM(layer %d, class %d) of %q carries non-finite SV norms", v.LayerIdx[p], k, v.ModelName)
 				}
 			}
 		}

@@ -28,24 +28,6 @@ func TestArmNilFails(t *testing.T) {
 	}
 }
 
-func TestArmError(t *testing.T) {
-	t.Cleanup(Reset)
-	sentinel := errors.New("boom")
-	ArmError("test.point", sentinel)
-	if err := Check("test.point"); !errors.Is(err, sentinel) {
-		t.Fatalf("got %v, want the armed sentinel", err)
-	}
-}
-
-func TestDisarm(t *testing.T) {
-	t.Cleanup(Reset)
-	Arm("test.point", nil)
-	Disarm("test.point")
-	if err := Check("test.point"); err != nil {
-		t.Fatalf("disarmed point returned %v", err)
-	}
-}
-
 func TestArmCount(t *testing.T) {
 	t.Cleanup(Reset)
 	ArmCount("test.flaky", 2)
@@ -62,7 +44,7 @@ func TestArmCount(t *testing.T) {
 }
 
 // TestConcurrentArmCheck exercises the copy-on-write map under -race:
-// concurrent Arm/Disarm/Check must never trip the detector or observe
+// concurrent Arm/Reset/Check must never trip the detector or observe
 // a partial map.
 func TestConcurrentArmCheck(t *testing.T) {
 	t.Cleanup(Reset)
@@ -74,7 +56,7 @@ func TestConcurrentArmCheck(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				Arm("test.race", nil)
 				_ = Check("test.race")
-				Disarm("test.race")
+				Reset()
 			}
 		}()
 	}

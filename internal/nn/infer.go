@@ -455,37 +455,6 @@ func (l *Softmax) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
 	return out
 }
 
-// ForwardInfer implements InferenceLayer.
-func (l *Sigmoid) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
-	out := sc.like(skey{l, 0}, x)
-	for i, v := range x.Data {
-		out.Data[i] = 1 / (1 + math.Exp(-v))
-	}
-	return out
-}
-
-// ForwardInfer implements InferenceLayer.
-func (l *Tanh) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
-	out := sc.like(skey{l, 0}, x)
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	return out
-}
-
-// ForwardInfer implements InferenceLayer.
-func (l *LeakyReLU) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
-	out := sc.like(skey{l, 0}, x)
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = l.Alpha * v
-		}
-	}
-	return out
-}
-
 // ForwardInfer implements InferenceLayer: a cached flat view, the
 // scratch analogue of Forward's Reshape.
 func (l *Flatten) ForwardInfer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
@@ -559,9 +528,6 @@ var (
 	_ InferenceLayer = (*Dense)(nil)
 	_ InferenceLayer = (*ReLU)(nil)
 	_ InferenceLayer = (*Softmax)(nil)
-	_ InferenceLayer = (*Sigmoid)(nil)
-	_ InferenceLayer = (*Tanh)(nil)
-	_ InferenceLayer = (*LeakyReLU)(nil)
 	_ InferenceLayer = (*Flatten)(nil)
 	_ InferenceLayer = (*Dropout)(nil)
 	_ InferenceLayer = (*BatchNorm)(nil)

@@ -131,18 +131,3 @@ func (c *Context) MergeGradsInto(dst map[*Param]*tensor.Tensor, params []*Param)
 		}
 	}
 }
-
-// ResetGrads clears accumulated gradients but keeps forward caches,
-// letting one context be reused across samples within a worker.
-func (c *Context) ResetGrads() {
-	for k := range c.grads {
-		delete(c.grads, k)
-	}
-}
-
-// ResetCache clears forward caches between samples.
-func (c *Context) ResetCache() {
-	for k := range c.cache {
-		delete(c.cache, k)
-	}
-}

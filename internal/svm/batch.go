@@ -2,25 +2,12 @@
 //
 // Deep Validation's serving hot path evaluates f(x) = Σ αᵢK(xᵢ,x) − ρ
 // once per (layer, sample); at scale the per-call [][]float64 walk and
-// math.Pow dominate. This file provides two batched paths:
-//
-//   - DecisionBatch / DecisionBatchInto: the production path. It walks a
-//     flattened, contiguous support-vector matrix but performs exactly
-//     the same floating-point operations in exactly the same order as
-//     the scalar Decision, so results are bit-identical — including
-//     NaN/±Inf propagation. Golden artifacts pin verdict bits, which
-//     makes this the only form the serving path may use.
-//
-//   - DecisionBatchExpanded: the textbook vectorized form, computing the
-//     RBF distance via ‖a−b‖² = ‖a‖² + ‖b‖² − 2a·b with support-vector
-//     norms precomputed at training time (OneClass.SVNorms). The
-//     expansion reassociates the summation, so results agree with
-//     Decision only to a relative tolerance (see ExpandedRelTol) and
-//     only for finite inputs: with x containing ±Inf the exact path
-//     yields exp(−Inf) = 0 while the expansion yields Inf − Inf = NaN.
-//     It exists for offline workloads (drift studies, bulk rescoring)
-//     that want the extra arithmetic regularity; nothing bit-pinned may
-//     route through it.
+// math.Pow dominate. DecisionBatchInto walks a flattened, contiguous
+// support-vector matrix but performs exactly the same floating-point
+// operations in exactly the same order as the scalar Decision, so
+// results are bit-identical — including NaN/±Inf propagation. Golden
+// artifacts pin verdict bits, so there is deliberately no faster
+// ‖a‖² + ‖b‖² − 2a·b expansion path: it reassociates the sum.
 package svm
 
 import (
@@ -28,40 +15,9 @@ import (
 	"math"
 )
 
-// ExpandedRelTol is the documented relative tolerance between
-// DecisionBatchExpanded and the scalar Decision for well-conditioned
-// finite inputs. The expansion computes ‖a−b‖² by cancellation between
-// O(‖a‖²) terms, so the squared distance — and hence the exponent —
-// carries a relative error of a few ULP amplified by the ratio
-// ‖a‖²/‖a−b‖²; the equivalence battery asserts this bound on random
-// models and inputs.
-const ExpandedRelTol = 1e-9
-
-// DecisionScratch holds the reusable per-worker buffers of the batched
-// decision paths. A DecisionScratch must not be shared between
-// concurrently scoring goroutines; pool one per worker.
-type DecisionScratch struct {
-	kdot []float64
-}
-
-// grow returns a length-n buffer, reusing the existing allocation when
-// it is large enough.
-func (sc *DecisionScratch) grow(n int) []float64 {
-	if cap(sc.kdot) < n {
-		sc.kdot = make([]float64, n)
-	}
-	sc.kdot = sc.kdot[:n]
-	return sc.kdot
-}
-
-// DecisionBatch evaluates f(x) for every row of xs, returning a fresh
-// slice. Results are bit-identical to calling Decision per row.
-func (m *OneClass) DecisionBatch(xs [][]float64) []float64 {
-	return m.DecisionBatchInto(make([]float64, len(xs)), xs)
-}
-
-// DecisionBatchInto is DecisionBatch writing into dst; len(dst) must
-// equal len(xs). After the one-time flat-matrix build it allocates
+// DecisionBatchInto evaluates f(x) for every row of xs into dst;
+// len(dst) must equal len(xs). Results are bit-identical to calling
+// Decision per row. After the one-time flat-matrix build it allocates
 // nothing, which is what keeps steady-state scoring on an allocation
 // diet. It returns dst.
 func (m *OneClass) DecisionBatchInto(dst []float64, xs [][]float64) []float64 {
@@ -134,73 +90,6 @@ func (m *OneClass) DecisionBatchInto(dst []float64, xs [][]float64) []float64 {
 		}
 	}
 	return dst
-}
-
-// DecisionBatchExpanded evaluates f(x) for every row of xs using the
-// norms-expansion RBF form (see the file comment for the tolerance and
-// the finite-input requirement); for linear and polynomial kernels the
-// expansion is the exact dot-product arithmetic and results are
-// bit-identical to Decision. sc may be nil (a batch-local scratch is
-// then allocated). It returns dst; len(dst) must equal len(xs).
-func (m *OneClass) DecisionBatchExpanded(dst []float64, xs [][]float64, sc *DecisionScratch) []float64 {
-	if m.Kind != KernelRBF {
-		return m.DecisionBatchInto(dst, xs)
-	}
-	if len(dst) != len(xs) {
-		panic(fmt.Sprintf("svm: DecisionBatchExpanded dst holds %d slots for %d inputs", len(dst), len(xs)))
-	}
-	if sc == nil {
-		sc = &DecisionScratch{}
-	}
-	norms := m.EnsureNorms()
-	flat := m.flatSupport()
-	d := m.Dim
-	kdot := sc.grow(len(m.Alpha))
-	for bi, x := range xs {
-		m.checkDim(x)
-		xn := 0.0
-		for _, v := range x {
-			xn += v * v
-		}
-		for i := range kdot {
-			kdot[i] = dotFlat(flat[i*d:(i+1)*d], x)
-		}
-		s := 0.0
-		for i, a := range m.Alpha {
-			sq := norms[i] + xn - 2*kdot[i]
-			s += a * math.Exp(-m.Gamma*sq)
-		}
-		dst[bi] = s - m.Rho
-	}
-	return dst
-}
-
-// EnsureNorms returns the support-vector squared norms, computing and
-// caching them into SVNorms when absent — the upgrade path for legacy
-// artifacts fitted before the field existed: they decode with SVNorms
-// nil, recompute here on first use, and persist the norms on their next
-// save. Safe for concurrent callers.
-func (m *OneClass) EnsureNorms() []float64 {
-	m.normsOnce.Do(func() {
-		if len(m.SVNorms) == len(m.Support) && len(m.Support) > 0 {
-			return
-		}
-		m.SVNorms = supportNorms(m.Support)
-	})
-	return m.SVNorms
-}
-
-// supportNorms computes ‖sv‖² per support vector.
-func supportNorms(support [][]float64) []float64 {
-	out := make([]float64, len(support))
-	for i, sv := range support {
-		s := 0.0
-		for _, v := range sv {
-			s += v * v
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // flatSupport returns the support vectors as one contiguous row-major

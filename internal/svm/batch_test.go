@@ -6,13 +6,12 @@ import (
 	"testing"
 )
 
-// Differential-equivalence battery for the batched decision paths.
-// DecisionBatch is the serving path and must agree with the scalar
+// Differential-equivalence battery for the batched decision path.
+// DecisionBatchInto is the serving path and must agree with the scalar
 // Decision bit-for-bit on every non-NaN output; NaN outputs must agree
 // as NaNs (payload propagation through compiled loops is register-
 // allocation dependent and carries no information — see the tensor
-// package's SIMD battery for the full argument). DecisionBatchExpanded
-// reassociates the RBF distance and is held to ExpandedRelTol instead.
+// package's SIMD battery for the full argument).
 
 var svmSpecials = []float64{
 	math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
@@ -77,10 +76,7 @@ func TestDecisionBatchMatchesDecision(t *testing.T) {
 				m := randModel(rng, kind, nsv, dim, 3)
 				for _, batch := range []int{1, 2, 5} {
 					xs := randBatch(rng, batch, dim, true)
-					got := m.DecisionBatch(xs)
-					if len(got) != batch {
-						t.Fatalf("%s nsv=%d dim=%d: DecisionBatch returned %d results for %d inputs", kind, nsv, dim, len(got), batch)
-					}
+					got := m.DecisionBatchInto(make([]float64, batch), xs)
 					for bi, x := range xs {
 						want := m.Decision(x)
 						if !sameVerdictBits(got[bi], want) {
@@ -94,8 +90,9 @@ func TestDecisionBatchMatchesDecision(t *testing.T) {
 	}
 }
 
-// TestDecisionBatchIntoReusesDst pins the in-place form: same bits as
-// DecisionBatch, dst returned, and an empty batch is a no-op.
+// TestDecisionBatchIntoReusesDst pins the in-place form: dst is
+// returned holding the scalar Decision bits, and an empty batch is a
+// no-op.
 func TestDecisionBatchIntoReusesDst(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	m := randModel(rng, KernelRBF, 6, 16, 3)
@@ -105,10 +102,9 @@ func TestDecisionBatchIntoReusesDst(t *testing.T) {
 	if &out[0] != &dst[0] {
 		t.Fatal("DecisionBatchInto did not return dst")
 	}
-	want := m.DecisionBatch(xs)
-	for i := range want {
-		if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("row %d: into %x fresh %x", i, math.Float64bits(out[i]), math.Float64bits(want[i]))
+	for i, x := range xs {
+		if want := m.Decision(x); math.Float64bits(out[i]) != math.Float64bits(want) {
+			t.Fatalf("row %d: into %x scalar %x", i, math.Float64bits(out[i]), math.Float64bits(want))
 		}
 	}
 	if got := m.DecisionBatchInto(nil, nil); len(got) != 0 {
@@ -126,7 +122,7 @@ func TestPolyDegreesScalarBatchExact(t *testing.T) {
 	for degree := 1; degree <= 6; degree++ {
 		m := randModel(rng, KernelPoly, 5, 9, degree)
 		xs := randBatch(rng, 8, 9, false)
-		got := m.DecisionBatch(xs)
+		got := m.DecisionBatchInto(make([]float64, len(xs)), xs)
 		for bi, x := range xs {
 			scalar := m.Decision(x)
 			if math.Float64bits(got[bi]) != math.Float64bits(scalar) {
@@ -182,82 +178,6 @@ func TestIpowEdgeCases(t *testing.T) {
 	}
 }
 
-// TestDecisionBatchExpandedTolerance holds the norms-expansion path to
-// its documented contract: bit-identical for non-RBF kernels, within
-// ExpandedRelTol of the scalar decision for finite RBF inputs.
-func TestDecisionBatchExpandedTolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(104))
-	for _, kind := range []KernelKind{KernelLinear, KernelPoly, KernelRBF} {
-		m := randModel(rng, kind, 12, 24, 2)
-		xs := randBatch(rng, 16, 24, false)
-		exact := m.DecisionBatch(xs)
-		sc := &DecisionScratch{}
-		expanded := m.DecisionBatchExpanded(make([]float64, len(xs)), xs, sc)
-		for i := range xs {
-			if kind != KernelRBF {
-				if math.Float64bits(expanded[i]) != math.Float64bits(exact[i]) {
-					t.Fatalf("%s row %d: expanded %x exact %x", kind, i, math.Float64bits(expanded[i]), math.Float64bits(exact[i]))
-				}
-				continue
-			}
-			diff := math.Abs(expanded[i] - exact[i])
-			scale := math.Abs(exact[i])
-			if scale < 1 {
-				scale = 1
-			}
-			if diff/scale > ExpandedRelTol {
-				t.Fatalf("rbf row %d: expanded %v exact %v rel err %g > %g",
-					i, expanded[i], exact[i], diff/scale, ExpandedRelTol)
-			}
-		}
-	}
-	// Nil scratch must work too (allocates batch-locally).
-	m := randModel(rng, KernelRBF, 4, 8, 3)
-	xs := randBatch(rng, 3, 8, false)
-	m.DecisionBatchExpanded(make([]float64, 3), xs, nil)
-}
-
-// TestEnsureNormsLegacyRecompute covers the legacy-artifact upgrade
-// path: a model decoded without SVNorms recomputes them on demand, and
-// the recomputation matches the trained-in values bit-for-bit.
-func TestEnsureNormsLegacyRecompute(t *testing.T) {
-	rng := rand.New(rand.NewSource(105))
-	data := make([][]float64, 40)
-	for i := range data {
-		data[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-	}
-	m, err := Train(data, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.SVNorms) != len(m.Support) {
-		t.Fatalf("Train left SVNorms with %d entries for %d SVs", len(m.SVNorms), len(m.Support))
-	}
-	legacy := &OneClass{
-		Kind: m.Kind, Gamma: m.Gamma, Degree: m.Degree, Coef0: m.Coef0,
-		Nu: m.Nu, Support: m.Support, Alpha: m.Alpha, Rho: m.Rho, Dim: m.Dim,
-	}
-	norms := legacy.EnsureNorms()
-	if len(norms) != len(m.SVNorms) {
-		t.Fatalf("EnsureNorms returned %d norms, want %d", len(norms), len(m.SVNorms))
-	}
-	for i := range norms {
-		if math.Float64bits(norms[i]) != math.Float64bits(m.SVNorms[i]) {
-			t.Fatalf("norm %d: recomputed %x trained %x", i, math.Float64bits(norms[i]), math.Float64bits(m.SVNorms[i]))
-		}
-	}
-	// And the expanded path on the upgraded model matches the exact one.
-	xs := randBatch(rng, 4, 3, false)
-	exact := legacy.DecisionBatch(xs)
-	expanded := legacy.DecisionBatchExpanded(make([]float64, 4), xs, nil)
-	for i := range xs {
-		diff := math.Abs(expanded[i] - exact[i])
-		if diff > ExpandedRelTol*(1+math.Abs(exact[i])) {
-			t.Fatalf("row %d: expanded %v exact %v", i, expanded[i], exact[i])
-		}
-	}
-}
-
 // TestDecisionBatchPanics pins the dst-length and feature-dim guards.
 func TestDecisionBatchPanics(t *testing.T) {
 	m := randModel(rand.New(rand.NewSource(106)), KernelRBF, 3, 4, 3)
@@ -274,16 +194,13 @@ func TestDecisionBatchPanics(t *testing.T) {
 		m.DecisionBatchInto(make([]float64, 1), make([][]float64, 2))
 	})
 	mustPanic("dim mismatch", func() {
-		m.DecisionBatch([][]float64{{1, 2}})
-	})
-	mustPanic("expanded short dst", func() {
-		m.DecisionBatchExpanded(nil, [][]float64{{1, 2, 3, 4}}, nil)
+		m.DecisionBatchInto(make([]float64, 1), [][]float64{{1, 2}})
 	})
 }
 
 // TestDecisionBatchSteadyStateAllocs is the allocation-budget guard:
-// after the one-time flat-matrix (and, for the expanded path, norms)
-// build, batched scoring must allocate nothing.
+// after the one-time flat-matrix build, batched scoring must allocate
+// nothing.
 func TestDecisionBatchSteadyStateAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race-detector instrumentation allocates; budgets apply to plain builds")
@@ -299,16 +216,6 @@ func TestDecisionBatchSteadyStateAllocs(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%s: DecisionBatchInto allocates %.1f/op in steady state, want 0", kind, n)
 		}
-	}
-	m := randModel(rng, KernelRBF, 8, 16, 3)
-	xs := randBatch(rng, 6, 16, false)
-	dst := make([]float64, len(xs))
-	sc := &DecisionScratch{}
-	m.DecisionBatchExpanded(dst, xs, sc) // warm flat support + norms + scratch
-	if n := testing.AllocsPerRun(50, func() {
-		m.DecisionBatchExpanded(dst, xs, sc)
-	}); n != 0 {
-		t.Errorf("DecisionBatchExpanded allocates %.1f/op in steady state, want 0", n)
 	}
 }
 
@@ -360,7 +267,7 @@ func FuzzDecisionBatchEquivalence(f *testing.F) {
 				xs[i][j] = next()
 			}
 		}
-		got := m.DecisionBatch(xs)
+		got := m.DecisionBatchInto(make([]float64, batch), xs)
 		for bi, x := range xs {
 			want := m.Decision(x)
 			if !sameVerdictBits(got[bi], want) {

@@ -64,8 +64,8 @@ func DefaultConfig() Config {
 // serialization of fitted validators; treat them as read-only.
 //
 // A OneClass must not be copied by value after first use: the batched
-// decision paths guard their lazily built runtime caches with
-// sync.Once. Share models by pointer, as Train returns them.
+// decision path guards its lazily built runtime cache with sync.Once.
+// Share models by pointer, as Train returns them.
 type OneClass struct {
 	Kind     KernelKind
 	Gamma    float64
@@ -78,15 +78,10 @@ type OneClass struct {
 	Dim      int
 	TrainedN int
 	Iters    int
-	// SVNorms[i] is ‖Support[i]‖², precomputed at training time for the
-	// norms-expansion decision path and persisted with the model. Legacy
-	// artifacts decode with it nil; EnsureNorms recomputes it on demand.
-	SVNorms []float64
 
-	// Runtime caches, built lazily and skipped by gob.
-	flatOnce  sync.Once
-	flat      []float64 // Support flattened row-major, len(Support)×Dim
-	normsOnce sync.Once
+	// Runtime cache, built lazily and skipped by gob.
+	flatOnce sync.Once
+	flat     []float64 // Support flattened row-major, len(Support)×Dim
 }
 
 // Train fits a one-class SVM on the rows of data.
@@ -271,7 +266,6 @@ func Train(data [][]float64, cfg Config) (*OneClass, error) {
 			m.Alpha = append(m.Alpha, alpha[t])
 		}
 	}
-	m.SVNorms = supportNorms(m.Support)
 	return m, nil
 }
 

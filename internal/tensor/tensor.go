@@ -137,9 +137,6 @@ func (t *Tensor) Fill(v float64) *Tensor {
 	return t
 }
 
-// Zero sets every element to 0 and returns t.
-func (t *Tensor) Zero() *Tensor { return t.Fill(0) }
-
 // Apply replaces each element x with fn(x) and returns t.
 func (t *Tensor) Apply(fn func(float64) float64) *Tensor {
 	for i, v := range t.Data {
