@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race check bench fuzz snapshot smoke perf
+.PHONY: build test vet fmt race check bench fuzz snapshot e2e
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags e2e ./e2e
 
 # fmt fails when any Go file is not gofmt-clean.
 fmt:
@@ -25,45 +26,25 @@ fmt:
 race:
 	$(GO) test -race -timeout 45m ./internal/core ./internal/experiment ./internal/telemetry ./internal/serve ./internal/gateway ./internal/hunt .
 
-# smoke runs the end-to-end checks against real processes: the
-# observability pass (train, score, scrape /metrics), the serving
-# pass (dvserve check/batch/reload, 429 shedding, SIGTERM drain), the
-# chaos pass (artifact corruption, crash-safe saves, reload
-# degradation and recovery), the tracing pass (span trees, flight
-# recorder triage, drift gauges, legacy drift degradation — against a
-# race-built dvserve), the hunt pass (train → coverage-guided
-# mine → byte-identical corpora across -workers → strict replay →
-# dvreport escape-rate table → committed-corpus regression test), and
-# the obs pass (wide-event log + rotation, dv_runtime_*/dv_slo_*
-# gauges, forced 429 burn to a cross-linked SLO breach event — against
-# a race-built dvserve), and the gateway pass (race-built 2-replica
-# fleet: rendezvous routing, kill -9 → drain with zero client 5xx,
-# reinstatement, corrupt-rollout refusal, halted rollout → automatic
-# rollback, retried rollout convergence), and the fleet obs pass
-# (both tiers traced: injected ID → one stitched two-tier span tree,
-# fleet/flight aggregation, kill -9 → marked partial tree, shed burst
-# → gateway availability breach with a resolvable cross-linked trace).
-smoke:
-	./scripts/telemetry_smoke.sh
-	./scripts/serve_smoke.sh
-	./scripts/chaos_smoke.sh
-	./scripts/trace_smoke.sh
-	./scripts/hunt_smoke.sh
-	./scripts/obs_smoke.sh
-	./scripts/gateway_smoke.sh
-	./scripts/fleet_obs_smoke.sh
+# e2e runs the end-to-end harness in e2e/ (behind the e2e build tag,
+# so ./... skips it). It builds every binary once — dvserve and
+# dvgateway with -race — trains one model, fits two validators, and
+# drives each scenario against real processes: telemetry scrape,
+# serving (check/batch, reload, 429 shedding, SIGTERM drain), chaos
+# (crash-safe saves, corrupt reloads, degraded /readyz, healing),
+# tracing/flight/drift, hunt (corpus layout, byte-identical corpora
+# across GOMAXPROCS 1/4 and -workers 1/4, strict replay, dvreport),
+# obs (wide events, rotation, SLO breach), gateway (kill -9 drain,
+# rollout rollback and convergence) and fleet obs (stitched and
+# partial trees, gateway SLO breach). Its alloc subtest is the scoring
+# hot path's allocation gate: BenchmarkScoreBatch/workers=1 bytes/op
+# at one P within 2x of the committed BENCH_pipeline.json baseline.
+e2e:
+	$(GO) test -tags e2e -count=1 -timeout 30m ./e2e
 
-# perf is the allocation-regression gate for the scoring hot path:
-# bytes/op of BenchmarkScoreBatch/workers=1 must stay within 2x of the
-# committed BENCH_pipeline.json baseline (bytes/op is deterministic for
-# the fixed workload, unlike wall clock). Pass WORKERS="1 2 4" for the
-# informational multicore sweep the nightly CI job runs.
-perf:
-	./scripts/perf_smoke.sh $(WORKERS)
-
-# check is the CI gate: full build + tests, vet, gofmt, the race pass,
-# the end-to-end smoke runs, and the perf allocation gate.
-check: build test vet fmt race smoke perf
+# check is the CI gate: full build + tests, vet, gofmt, the race pass
+# and the end-to-end harness.
+check: build test vet fmt race e2e
 
 bench:
 	$(GO) test -bench 'BenchmarkFit|BenchmarkScoreBatch' -benchmem -run '^$$' .

@@ -134,8 +134,8 @@ func TestLoadRejectsMismatchedPair(t *testing.T) {
 
 // TestSaveIsAtomicUnderCrash: a fault injected at the publish point of
 // the validator save (model already landed) leaves the previous pair
-// loadable and byte-identical — the crash-safety contract the chaos
-// smoke script exercises at the binary level via DV_FAULT.
+// loadable and byte-identical — the crash-safety contract the e2e
+// chaos subtest exercises at the binary level via DV_FAULT.
 func TestSaveIsAtomicUnderCrash(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	det := chaosBuild(t)

@@ -308,23 +308,18 @@ func (d *Detector) Epsilon() float64 { return d.mon.Epsilon() }
 // enabled, so operators can tell malformed inputs apart from detected
 // corner cases (dv_flagged_total).
 func (d *Detector) Check(img Image) (Verdict, error) {
-	x, err := tensorOf(img)
-	if err != nil {
-		d.countInvalid()
-		return Verdict{}, err
-	}
-	if err := d.net.CheckInput(x); err != nil {
-		d.countInvalid()
-		return Verdict{}, err
-	}
-	v := d.mon.Check(x)
+	return d.CheckDetailed(img, nil)
+}
+
+// verdictOf converts a monitor verdict to the public Verdict.
+func verdictOf(v core.Verdict) Verdict {
 	return Verdict{
 		Label:       v.Label,
 		Confidence:  v.Confidence,
 		Discrepancy: v.Discrepancy,
 		Valid:       v.Valid,
 		Quarantined: v.Quarantined,
-	}, nil
+	}
 }
 
 // Detail receives the per-layer diagnostics of one checked image — the
@@ -361,31 +356,23 @@ func (dt *Detail) fill(layers []int, res core.Result, tm *core.ScoreTimings) {
 // durations). The verdict — and every statistic and telemetry update —
 // is bit-identical to Check; a nil out is exactly Check.
 func (d *Detector) CheckDetailed(img Image, out *Detail) (Verdict, error) {
-	if out == nil {
-		return d.Check(img)
-	}
 	x, err := tensorOf(img)
+	if err == nil {
+		err = d.net.CheckInput(x)
+	}
 	if err != nil {
 		d.countInvalid()
 		return Verdict{}, err
 	}
-	if err := d.net.CheckInput(x); err != nil {
-		d.countInvalid()
-		return Verdict{}, err
-	}
 	var tm *core.ScoreTimings
-	if out.Timed {
+	if out != nil && out.Timed {
 		tm = &core.ScoreTimings{}
 	}
 	v, res := d.mon.CheckDetailed(x, tm)
-	out.fill(d.val.LayerIdx, res, tm)
-	return Verdict{
-		Label:       v.Label,
-		Confidence:  v.Confidence,
-		Discrepancy: v.Discrepancy,
-		Valid:       v.Valid,
-		Quarantined: v.Quarantined,
-	}, nil
+	if out != nil {
+		out.fill(d.val.LayerIdx, res, tm)
+	}
+	return verdictOf(v), nil
 }
 
 // CheckBatchDetailed is CheckBatch with per-image diagnostics: details
@@ -428,13 +415,7 @@ func (d *Detector) CheckBatchDetailed(imgs []Image, details []*Detail) ([]Verdic
 	verdicts, results := d.mon.CheckBatchDetailed(xs, tms)
 	out := make([]Verdict, len(verdicts))
 	for i, v := range verdicts {
-		out[i] = Verdict{
-			Label:       v.Label,
-			Confidence:  v.Confidence,
-			Discrepancy: v.Discrepancy,
-			Valid:       v.Valid,
-			Quarantined: v.Quarantined,
-		}
+		out[i] = verdictOf(v)
 		if i < len(details) && details[i] != nil {
 			var tm *core.ScoreTimings
 			if tms != nil {
@@ -481,37 +462,7 @@ func (d *Detector) SetWorkers(n int) { d.mon.SetWorkers(n) }
 // aborts on the first error), so the telemetry totals match what a
 // sequential Check loop would have recorded.
 func (d *Detector) CheckBatch(imgs []Image) ([]Verdict, error) {
-	xs := make([]*tensor.Tensor, len(imgs))
-	var firstErr error
-	for i, im := range imgs {
-		x, err := tensorOf(im)
-		if err == nil {
-			err = d.net.CheckInput(x)
-		}
-		if err != nil {
-			d.countInvalid()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("image %d: %w", i, err)
-			}
-			continue
-		}
-		xs[i] = x
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	verdicts := d.mon.CheckBatch(xs)
-	out := make([]Verdict, len(verdicts))
-	for i, v := range verdicts {
-		out[i] = Verdict{
-			Label:       v.Label,
-			Confidence:  v.Confidence,
-			Discrepancy: v.Discrepancy,
-			Valid:       v.Valid,
-			Quarantined: v.Quarantined,
-		}
-	}
-	return out, nil
+	return d.CheckBatchDetailed(imgs, nil)
 }
 
 // Stats reports how many inputs were checked and flagged since the

@@ -9,8 +9,8 @@
 //
 // Points can also be armed from outside the process via the DV_FAULT
 // environment variable — a comma-separated list of point names that
-// fail with ErrInjected — so shell-level chaos suites
-// (scripts/chaos_smoke.sh) can drive the real binaries through their
+// fail with ErrInjected — so the end-to-end harness (the chaos and
+// gateway subtests of e2e/) can drive the real binaries through their
 // failure paths:
 //
 //	DV_FAULT=artifact.rename dvtrain -out model.gob   # save must fail,

@@ -129,7 +129,7 @@ func (g *Gateway) handleReplicas(w http.ResponseWriter, r *http.Request) {
 
 // ReadyzBody is the machine-parseable JSON tail of the gateway's own
 // /readyz, mirroring dvserve's layout: plain-text lines first for
-// probes and smoke scripts, one JSON line last for machines.
+// probes and the e2e harness, one JSON line last for machines.
 type ReadyzBody struct {
 	Status     string          `json:"status"`
 	InRotation int             `json:"in_rotation"`

@@ -756,7 +756,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // ReadyzBody is the machine-parseable readiness summary appended to
 // /readyz as a single JSON line, after the plain-text lines probes and
-// smoke scripts grep. It is exported because it is a wire contract:
+// the e2e harness grep. It is exported because it is a wire contract:
 // the gateway's health prober unmarshals exactly this struct from the
 // tail of each replica's /readyz, and its ValidatorSHA256 field is how
 // staged rollouts verify that a reload actually converged on the

@@ -110,7 +110,7 @@ func TestPprofEndpoint(t *testing.T) {
 }
 
 // TestServe exercises the real-listener path the CLIs use, including
-// the ":0" ephemeral-port form the smoke test scrapes.
+// the ":0" ephemeral-port form the e2e harness scrapes.
 func TestServe(t *testing.T) {
 	r := New()
 	r.Counter("dv_checked_total").Inc()
